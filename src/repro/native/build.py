@@ -18,6 +18,7 @@ whether a kernel is in use.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import subprocess
@@ -27,6 +28,7 @@ from typing import Optional, Sequence, Tuple
 __all__ = [
     "BASE_FLAGS",
     "cache_dir",
+    "isa_level",
     "load_library",
     "native_threads",
     "openmp_available",
@@ -41,8 +43,6 @@ BASE_FLAGS: Tuple[str, ...] = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 #: Per-process memo: cache-key -> CDLL or None (failed).
 _loaded: dict = {}
-
-_openmp: Optional[bool] = None
 
 
 def stage_enabled(stage: str) -> bool:
@@ -122,31 +122,35 @@ def _compile(src_path: str, so_path: str, flags: Sequence[str]) -> bool:
         return False
 
 
+@functools.cache
 def openmp_available() -> bool:
     """Whether the toolchain can build OpenMP shared objects.
 
-    Probed once per process with a minimal program; the verdict gates
-    adding ``-fopenmp`` to kernels that have threaded entry points.
+    The verdict gates adding ``-fopenmp`` to kernels that have threaded
+    entry points.  The probe is a tiny C source built through
+    :func:`load_library`, so it compiles once per toolchain and later
+    processes only load the cached artifact.
     """
-    global _openmp
-    if _openmp is not None:
-        return _openmp
-    workdir = tempfile.mkdtemp(prefix="repro-omp-probe-")
-    src = os.path.join(workdir, "probe.c")
-    with open(src, "w") as fh:
-        fh.write(
-            "#include <omp.h>\n"
-            "int probe(void) { return omp_get_max_threads(); }\n"
-        )
-    so = os.path.join(workdir, "probe.so")
-    cmd = [_compiler(), *BASE_FLAGS, "-fopenmp", "-o", so, src, "-lm"]
-    try:
-        subprocess.run(cmd, check=True, capture_output=True, timeout=60)
-        ctypes.CDLL(so)
-        _openmp = True
-    except (OSError, subprocess.SubprocessError):
-        _openmp = False
-    return _openmp
+    return load_library(_probe_src("ompprobe"), ("-fopenmp",)) is not None
+
+
+@functools.cache
+def isa_level() -> int:
+    """Highest x86-64 micro-architecture level the host runs (4 or 3),
+    or 0 for baseline, including any non-x86 host or a toolchain that
+    cannot build the probe.  Built and cached like :func:`openmp_available`.
+    """
+    lib = load_library(_probe_src("isaprobe"))
+    if lib is None:
+        return 0
+    lib.isa_level.restype = ctypes.c_int
+    lib.isa_level.argtypes = []
+    return int(lib.isa_level())
+
+
+def _probe_src(name: str) -> str:
+    here = os.path.dirname(os.path.abspath(__file__))
+    return os.path.join(here, f"_{name}.c")
 
 
 def load_library(

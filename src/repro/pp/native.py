@@ -4,17 +4,22 @@ The C source (:file:`_plansweep.c`) ships with the package and is built
 through the shared compile-on-demand loader
 (:mod:`repro.native.build`): compiled once per source/toolchain/flag
 combination into a hash-keyed on-disk cache, bound through
-:mod:`ctypes`.  The build deliberately targets the baseline
-architecture with ``-ffp-contract=off`` so the kernel performs exactly
-the individually rounded IEEE double operations of the numpy executor
-pipeline — no FMA contraction, no reassociation — keeping its forces
-bitwise identical to the pure-numpy path.
+:mod:`ctypes`.
+
+The sweep is vectorised across targets, so its build flags follow the
+host: :func:`repro.native.build.isa_level` picks a row of
+:data:`ISA_FLAGS` (``-O3 -march=x86-64-v4`` or ``-v3``, else the
+baseline build), falling down the ladder if a build fails.  Every level
+keeps :data:`repro.native.build.BASE_FLAGS`' ``-ffp-contract=off``, so
+the kernel performs exactly the individually rounded IEEE double
+operations of the numpy executor pipeline — no FMA contraction, no
+reassociation — keeping its forces bitwise identical to the pure-numpy
+path at every level.
 
 When the toolchain supports OpenMP the library is built with
-``-fopenmp`` and exposes ``plan_sweep_threads``, a parallel-over-groups
-variant selected when ``REPRO_NATIVE_THREADS`` requests more than one
-thread.  Plan groups own disjoint output rows, so the threaded sweep is
-bitwise identical to the serial one for any thread count.
+``-fopenmp`` and the sweep runs parallel over plan groups with
+``REPRO_NATIVE_THREADS`` threads.  Plan groups own disjoint output rows,
+so the result is bitwise identical for any thread count.
 
 The loader degrades gracefully: if no compiler is present (or the build
 fails, or ``REPRO_NO_NATIVE`` / ``REPRO_NO_NATIVE_PP`` is set — checked
@@ -51,6 +56,7 @@ _ARGTYPES = [
     _F64P,  # node_mass
     _U8P,  # wrap
     ctypes.c_double,  # box
+    ctypes.c_double,  # rbox
     ctypes.c_double,  # eps2
     ctypes.c_int,  # use_split
     ctypes.c_double,  # rcut
@@ -58,20 +64,32 @@ _ARGTYPES = [
     ctypes.c_double,  # G
     _F64P,  # scratch
     _F64P,  # out
+    ctypes.c_int64,  # scratch_stride
+    ctypes.c_int,  # nthreads
 ]
 
+#: Extra compile flags per host ISA level, highest first.
+#: ``-fno-math-errno`` changes no value; it lets GCC vectorise ``sqrt``.
+ISA_FLAGS = {
+    4: ("-O3", "-march=x86-64-v4", "-fno-math-errno"),
+    3: ("-O3", "-march=x86-64-v3", "-fno-math-errno"),
+    0: (),
+}
 
-def _declare(lib: ctypes.CDLL) -> None:
-    if getattr(lib, "_plansweep_declared", False):
-        return
-    lib.plan_sweep.restype = None
-    lib.plan_sweep.argtypes = _ARGTYPES
-    lib.plan_sweep_threads.restype = None
-    lib.plan_sweep_threads.argtypes = _ARGTYPES + [
-        ctypes.c_int64,  # scratch_stride
-        ctypes.c_int,  # nthreads
-    ]
-    lib._plansweep_declared = True
+
+def load(level: int) -> Optional[ctypes.CDLL]:
+    """The kernel built with ``ISA_FLAGS[level]``, or ``None`` when that
+    build fails.  Ignores the stage gate and does not check that the
+    host can run ``level``."""
+    extra = ISA_FLAGS[level]
+    if _build.openmp_available():
+        extra += ("-fopenmp",)
+    lib = _build.load_library(_SRC, extra_flags=extra)
+    if lib is not None and not getattr(lib, "_plansweep_declared", False):
+        lib.plan_sweep.restype = None
+        lib.plan_sweep.argtypes = _ARGTYPES
+        lib._plansweep_declared = True
+    return lib
 
 
 def get_lib() -> Optional[ctypes.CDLL]:
@@ -83,12 +101,13 @@ def get_lib() -> Optional[ctypes.CDLL]:
     """
     if not _build.stage_enabled("pp"):
         return None
-    extra = ("-fopenmp",) if _build.openmp_available() else ()
-    lib = _build.load_library(_SRC, extra_flags=extra)
-    if lib is None:
-        return None
-    _declare(lib)
-    return lib
+    host = _build.isa_level()
+    for level in ISA_FLAGS:
+        if level <= host:
+            lib = load(level)
+            if lib is not None:
+                return lib
+    return None
 
 
 def available() -> bool:
@@ -119,6 +138,7 @@ def sweep(
     node_mass,
     wrap,
     box,
+    rbox,
     eps2,
     use_split,
     rcut,
@@ -131,11 +151,14 @@ def sweep(
 ) -> None:
     """Invoke ``plan_sweep`` (arrays must be C-contiguous and typed).
 
-    With ``nthreads > 1`` the OpenMP entry point is used; ``scratch``
-    must then hold ``nthreads * scratch_stride`` doubles (one board per
-    thread).  Results are bitwise identical either way.
+    ``rbox`` is the exact reciprocal of a power-of-two ``box`` (the
+    sweep then multiplies instead of dividing, with identical bits) and
+    ``0.0`` for any other box.
+
+    ``scratch`` holds ``nthreads * scratch_stride`` doubles (one board
+    per thread).  Results are bitwise identical for any ``nthreads``.
     """
-    args = [
+    lib.plan_sweep(
         ctypes.c_int64(len(group_lo)),
         _ptr(group_lo, _I64P),
         _ptr(group_hi, _I64P),
@@ -149,6 +172,7 @@ def sweep(
         _ptr(node_mass, _F64P),
         _ptr(wrap, _U8P),
         ctypes.c_double(box),
+        ctypes.c_double(rbox),
         ctypes.c_double(eps2),
         ctypes.c_int(use_split),
         ctypes.c_double(rcut),
@@ -156,13 +180,16 @@ def sweep(
         ctypes.c_double(G),
         _ptr(scratch, _F64P),
         _ptr(out, _F64P),
-    ]
-    if nthreads > 1:
-        lib.plan_sweep_threads(
-            *args, ctypes.c_int64(scratch_stride), ctypes.c_int(nthreads)
-        )
-    else:
-        lib.plan_sweep(*args)
+        ctypes.c_int64(scratch_stride),
+        ctypes.c_int(nthreads),
+    )
 
 
-__all__ = ["available", "get_lib", "sweep", "threaded_available"]
+__all__ = [
+    "ISA_FLAGS",
+    "available",
+    "get_lib",
+    "load",
+    "sweep",
+    "threaded_available",
+]

@@ -26,6 +26,7 @@ plan plus the Morton-sorted particle arrays and node moments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,12 +40,20 @@ from repro.utils.periodic import minimum_image
 
 __all__ = ["InteractionPlan", "PlanExecutor", "multi_arange", "slice_plan"]
 
-#: Lazily computed result of the native-kernel cross-check (None until
-#: first use; the check runs once per process).
-_NATIVE_VERIFIED = None
+#: Native-kernel cross-check verdicts, keyed by library (each build of
+#: the sweep, e.g. one per ISA level, is checked once per process).
+_verified: dict = {}
 
 
 def _native_verified(lib) -> bool:
+    """Whether ``lib`` passed :func:`_self_test` (run on first use)."""
+    key = id(lib)
+    if key not in _verified:
+        _verified[key] = _self_test(lib)
+    return _verified[key]
+
+
+def _self_test(lib) -> bool:
     """Cross-check the compiled kernel against the numpy pipeline.
 
     The native sweep replays numpy's float64 arithmetic operation by
@@ -52,13 +61,11 @@ def _native_verified(lib) -> bool:
     sum — an order that is an implementation detail of the running
     numpy build.  Rather than trust it across platforms, the first
     native execution verifies bitwise agreement on a small synthetic
-    plan exercising wrap and no-wrap groups, self pairs, softened and
-    unsoftened kernels, and both split modes; any mismatch silently
-    disables the native path for the process.
+    plan exercising wrap and no-wrap groups, power-of-two and other
+    boxes, self pairs, softened and unsoftened kernels, and both split
+    modes; any mismatch silently disables that build of the kernel for
+    the process.
     """
-    global _NATIVE_VERIFIED
-    if _NATIVE_VERIFIED is not None:
-        return _NATIVE_VERIFIED
     from repro.pp.kernel import PPKernel
 
     rng = np.random.default_rng(20120416)
@@ -82,21 +89,19 @@ def _native_verified(lib) -> bool:
     kernels = [
         PPKernel(split=S2ForceSplit(0.4), eps=0.0, G=2.0, box=1.0),
         PPKernel(split=S2ForceSplit(0.4), eps=1e-3, box=1.0),
+        PPKernel(split=S2ForceSplit(0.4), eps=1e-3, box=0.75),
         PPKernel(split=None, eps=1e-3, box=None),
         PPKernel(split=None, eps=0.0, box=1.0),
     ]
     numpy_exec = PlanExecutor(use_native=False)
     native_exec = PlanExecutor()
-    ok = True
     for kern in kernels:
         want = numpy_exec.execute(plan, kern, pos, mass, ncom, nmass)
         got = np.zeros_like(pos)
         native_exec._execute_native(lib, plan, kern, pos, mass, ncom, nmass, got)
         if not np.array_equal(want, got):
-            ok = False
-            break
-    _NATIVE_VERIFIED = ok
-    return ok
+            return False
+    return True
 
 
 def multi_arange(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -408,6 +413,9 @@ class PlanExecutor:
             wrap = (~plan.no_wrap).astype(np.uint8)
         else:
             wrap = np.ones(G, dtype=np.uint8)
+        rbox = 0.0  # x / box == x * rbox bitwise for a power-of-two box
+        if box is not None and math.frexp(box)[0] == 0.5:
+            rbox = 1.0 / box if math.isfinite(1.0 / box) else 0.0
         split = kernel.split
         if split is not None:
             rcut = split.cutoff_radius
@@ -435,6 +443,7 @@ class PlanExecutor:
             f64(node_mass),
             wrap,
             0.0 if box is None else float(box),
+            rbox,
             eps2,
             0 if split is None else 1,
             float(rcut),

@@ -12,9 +12,11 @@ import ctypes
 import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.native import build as nb
 
 HAVE_CC = shutil.which(os.environ.get("CC", "cc")) is not None
@@ -133,3 +135,45 @@ def test_native_threads_parsing(monkeypatch):
     assert nb.native_threads() == 1
     monkeypatch.setenv("REPRO_NATIVE_THREADS", "bogus")
     assert nb.native_threads() == 1
+
+
+_PROBE_CHILD = """
+import subprocess, sys
+if sys.argv[1] == "cached":
+    def _no_compiler(*args, **kwargs):
+        raise AssertionError("compiler invoked: " + repr(args))
+    subprocess.run = _no_compiler
+from repro.native import build
+print(build.openmp_available(), build.isa_level())
+"""
+
+
+@needs_cc
+def test_probes_are_cached_across_processes(tmp_path):
+    """The OpenMP and ISA probes build once: a second fresh process
+    loads them from the cache without invoking the compiler, and
+    neither process leaves a temporary directory behind."""
+    if not _probe_compiles():
+        pytest.skip("compiler present but not functional")
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)),
+        REPRO_NATIVE_CACHE=str(tmp_path / "cache"),
+        TMPDIR=str(tmp),
+    )
+
+    def child(mode):
+        run = subprocess.run(
+            [sys.executable, "-c", _PROBE_CHILD, mode],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        return run.stdout
+
+    fresh = child("fresh")
+    if not fresh.startswith("True"):
+        pytest.skip("toolchain cannot build OpenMP objects")
+    assert child("cached") == fresh
+    assert list(tmp.iterdir()) == []

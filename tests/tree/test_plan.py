@@ -445,7 +445,8 @@ class TestNativeKernel:
         the numpy pipeline (and still produce legacy-identical bits)."""
         import repro.pp.plan as plan_mod
 
-        monkeypatch.setattr(plan_mod, "_NATIVE_VERIFIED", False)
+        monkeypatch.setattr(plan_mod, "_verified", {})
+        monkeypatch.setattr(plan_mod, "_self_test", lambda lib: False)
         pos, mass = medium_particles
         s = TreeSolver(use_plan=True, periodic=True, split=SPLIT, eps=1e-3)
         a, _ = s.forces(pos, mass)
