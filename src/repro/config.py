@@ -118,6 +118,16 @@ class PMConfig:
                 f"got {self.fft_backend!r}"
             )
 
+    def solver_kwargs(self) -> dict:
+        """Keyword arguments shared by the serial ``PMSolver`` and the
+        distributed ``ParallelPM`` (``deconvolve`` as the window power:
+        2 = assignment and interpolation, 0 = none)."""
+        return {
+            "assignment": self.assignment,
+            "deconvolve": 2 if self.deconvolve else 0,
+            "differencing": self.differencing,
+        }
+
 
 @dataclass(frozen=True)
 class TreePMConfig:
@@ -516,6 +526,11 @@ class SimulationConfig:
             raise ValueError("n_particles must be >= 1")
         if self.pp_subcycles < 1:
             raise ValueError("pp_subcycles must be >= 1")
+        if self.treepm.pm.fft_backend == "pencil" and self.relay.n_groups > 1:
+            raise ValueError(
+                "the pencil FFT has no relay mesh: relay.n_groups must be 1 "
+                f"with fft_backend='pencil', got {self.relay.n_groups}"
+            )
 
     def with_(self, **kwargs) -> "SimulationConfig":
         """Return a copy with the given fields replaced."""

@@ -9,6 +9,12 @@ and the paper's novel *relay mesh method* (Fig. 5), which splits the
 global exchange into one all-to-all inside small groups plus one
 reduce/broadcast across groups, eliminating the ~p^(2/3)-senders-per-
 FFT-process congestion.
+
+:class:`ParallelPM` runs the whole five-step PM cycle once for every
+FFT layout: ``fft="slab"`` (direct or relay conversion) or
+``fft="pencil"`` (the 2-D pencil FFT of the paper's future work, which
+lifts the slab's ``n``-process cap).  Only the conversion to and from
+the FFT layout and the FFT itself differ between the two.
 """
 
 from repro.meshcomm.slab import LocalMeshRegion, SlabDecomposition
@@ -19,7 +25,6 @@ from repro.meshcomm.convert import (
 from repro.meshcomm.parallel_fft import SlabFFT
 from repro.meshcomm.pencil_fft import PencilFFT
 from repro.meshcomm.parallel_pm import ParallelPM
-from repro.meshcomm.parallel_pencil_pm import ParallelPencilPM
 from repro.meshcomm.regions import redistribute
 
 __all__ = [
@@ -30,6 +35,5 @@ __all__ = [
     "SlabFFT",
     "PencilFFT",
     "ParallelPM",
-    "ParallelPencilPM",
     "redistribute",
 ]

@@ -29,7 +29,6 @@ from repro.config import SimulationConfig
 from repro.decomp.exchange import exchange_particles
 from repro.decomp.multisection import MultisectionDecomposition
 from repro.decomp.sampling import SamplingDecomposer
-from repro.forces.cutoff import get_split
 from repro.integrate.stepper import StaticStepper
 from repro.meshcomm.parallel_pm import ParallelPM
 from repro.mpi.backend import create_backend
@@ -38,7 +37,7 @@ from repro.pp.kernel import InteractionCounter
 from repro.sim import checkpoint as _ckpt
 from repro.sim.checkpoint import CheckpointError, CheckpointSpaceError
 from repro.sim.ghosts import exchange_ghosts
-from repro.tree.traversal import TreeSolver
+from repro.treepm.solver import short_range_solver
 from repro.utils.periodic import wrap_positions
 from repro.utils.timer import TimingLedger
 from repro.validate import (
@@ -129,43 +128,16 @@ class ParallelSimulation:
         self.ids = np.array(ids, dtype=np.int64)
 
         tp = config.treepm
-        self.split = get_split(tp.split, tp.rcut)
-        self.tree = TreeSolver(
-            box=1.0,
-            theta=tp.tree.opening_angle,
-            leaf_size=tp.tree.leaf_size,
-            group_size=tp.tree.group_size,
+        self.tree = short_range_solver(tp)
+        self.split = self.tree.split
+        self.pm = ParallelPM(
+            comm,
+            tp.pm.mesh_size,
             split=self.split,
-            eps=tp.softening,
-            G=1.0,
-            periodic=True,
-            use_quadrupole=tp.tree.use_quadrupole,
-            use_plan=tp.tree.use_plan,
-            plan_float32=tp.tree.plan_float32,
+            n_groups=config.relay.n_groups,
+            fft=tp.pm.fft_backend,
+            **tp.pm.solver_kwargs(),
         )
-        if tp.pm.fft_backend == "pencil":
-            from repro.meshcomm.parallel_pencil_pm import ParallelPencilPM
-
-            self.pm = ParallelPencilPM(
-                comm,
-                tp.pm.mesh_size,
-                split=self.split,
-                assignment=tp.pm.assignment,
-                deconvolve=2 if tp.pm.deconvolve else 0,
-                differencing=tp.pm.differencing,
-            )
-        else:
-            self.pm = ParallelPM(
-                comm,
-                tp.pm.mesh_size,
-                split=self.split,
-                # the FFT processes must fit inside the relay root group
-                n_fft=min(comm.size // config.relay.n_groups, tp.pm.mesh_size),
-                n_groups=config.relay.n_groups,
-                assignment=tp.pm.assignment,
-                deconvolve=2 if tp.pm.deconvolve else 0,
-                differencing=tp.pm.differencing,
-            )
         self.decomposer = SamplingDecomposer(
             config.domain.divisions,
             sample_rate=config.domain.sample_rate,

@@ -21,10 +21,6 @@ from repro.validate import (
     LayzerIrvineMonitor,
     MomentumDriftMonitor,
     Validator,
-    check_finite,
-    check_mesh_mass,
-    check_octree,
-    first_violation,
 )
 
 __all__ = ["SerialSimulation"]
@@ -104,46 +100,10 @@ class SerialSimulation:
         return str(path)
 
     def _pm_force(self, pos: np.ndarray) -> np.ndarray:
-        v = self.validator
-        rho = None
-        with self.timing.phase("PM/density assignment"):
-            rho = self.solver.pm.density_mesh(pos, self.mass)
-        if v.check_enabled("mass_conservation"):
-            cell_vol = (self.solver.box / self.solver.pm.n) ** 3
-            v.handle(
-                check_mesh_mass(
-                    float(rho.sum() * cell_vol),
-                    float(self.mass.sum()),
-                    stage="mesh/assignment",
-                    step=v.step,
-                )
-            )
-        with self.timing.phase("PM/FFT"):
-            phi = self.solver.pm.potential_mesh(rho)
-        with self.timing.phase("PM/acceleration on mesh"):
-            amesh = self.solver.pm.acceleration_mesh(phi)
-        with self.timing.phase("PM/force interpolation"):
-            acc = self.solver.pm.interpolate(amesh, pos)
-        if v.check_enabled("finite_fields"):
-            v.handle(
-                check_finite("pm_acc", acc, stage="treepm/pm", step=v.step)
-            )
-        return acc
+        return self.solver.long_range(pos, self.mass, self.timing)
 
     def _pp_force(self, pos: np.ndarray) -> np.ndarray:
-        v = self.validator
-        with self.timing.phase("PP/tree construction"):
-            tree = self.solver.tree.build(pos, self.mass)
-        if v.check_enabled("octree_moments"):
-            v.handle(check_octree(tree, step=v.step))
-        acc, stats = self.solver.tree.forces(
-            pos, self.mass, tree=tree, ledger=self.timing
-        )
-        self.last_stats = stats
-        if v.check_enabled("finite_fields"):
-            v.handle(
-                check_finite("pp_acc", acc, stage="treepm/pp", step=v.step)
-            )
+        acc, self.last_stats = self.solver.short_range(pos, self.mass, self.timing)
         return acc
 
     def step(self, t1: float, t2: float) -> None:

@@ -16,7 +16,7 @@ within the method's approximation error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -25,8 +25,39 @@ from repro.forces.cutoff import get_split
 from repro.mesh.poisson import PMSolver
 from repro.tree.traversal import TraversalStats, TreeSolver
 from repro.utils.timer import TimingLedger
+from repro.validate.checks import check_finite, check_mesh_mass, check_octree
 
-__all__ = ["TreePMSolver", "TreePMForces"]
+__all__ = ["TreePMSolver", "TreePMForces", "short_range_solver"]
+
+
+def short_range_solver(
+    cfg: TreePMConfig,
+    box: float = 1.0,
+    G: float = 1.0,
+    use_fast_rsqrt: bool = False,
+) -> TreeSolver:
+    """The periodic short-range :class:`TreeSolver` that ``cfg``
+    describes, with its force split (``solver.split``) built from
+    ``cfg.split`` and ``cfg.rcut``.
+
+    The one mapping from a :class:`TreePMConfig` onto tree parameters,
+    shared by the serial solver and the distributed driver.
+    """
+    t = cfg.tree
+    return TreeSolver(
+        box=box,
+        theta=t.opening_angle,
+        leaf_size=t.leaf_size,
+        group_size=t.group_size,
+        split=get_split(cfg.split, cfg.rcut * box),
+        eps=cfg.softening * box,
+        G=G,
+        periodic=True,
+        use_quadrupole=t.use_quadrupole,
+        use_fast_rsqrt=use_fast_rsqrt,
+        use_plan=t.use_plan,
+        plan_float32=t.plan_float32,
+    )
 
 
 @dataclass
@@ -57,8 +88,8 @@ class TreePMSolver:
         Use the emulated HPC-ACE fast-rsqrt PP path.
     sdc:
         Optional :class:`repro.validate.SdcAuditor`.  When enabled,
-        every ``audit_every``-th :meth:`forces` call re-sweeps a sampled
-        subset of the interaction plan through the reference pipeline
+        every ``audit_every``-th :meth:`short_range` call (one per
+        :meth:`forces`) re-sweeps a sampled subset of the interaction plan through the reference pipeline
         and compares bitwise; under the ``heal`` policy a miscomputed
         sweep is redone in full through the reference path before the
         result is returned.
@@ -82,29 +113,16 @@ class TreePMSolver:
         self.sdc = sdc
         self._sdc_evals = 0
         cfg = self.config
-        self.split = get_split(cfg.split, cfg.rcut * box)
+        self.tree = short_range_solver(
+            cfg, box=box, G=G, use_fast_rsqrt=use_fast_rsqrt
+        )
+        self.split = self.tree.split
         self.pm = PMSolver(
             cfg.pm.mesh_size,
             box=box,
             split=self.split,
             G=G,
-            assignment=cfg.pm.assignment,
-            deconvolve=2 if cfg.pm.deconvolve else 0,
-            differencing=cfg.pm.differencing,
-        )
-        self.tree = TreeSolver(
-            box=box,
-            theta=cfg.tree.opening_angle,
-            leaf_size=cfg.tree.leaf_size,
-            group_size=cfg.tree.group_size,
-            split=self.split,
-            eps=cfg.softening * box,
-            G=G,
-            periodic=True,
-            use_quadrupole=cfg.tree.use_quadrupole,
-            use_fast_rsqrt=use_fast_rsqrt,
-            use_plan=cfg.tree.use_plan,
-            plan_float32=cfg.tree.plan_float32,
+            **cfg.pm.solver_kwargs(),
         )
         if (
             sdc is not None
@@ -118,6 +136,67 @@ class TreePMSolver:
         """Short-range cutoff radius in length units of the box."""
         return self.config.rcut * self.box
 
+    def long_range(
+        self, pos: np.ndarray, mass: np.ndarray, ledger: TimingLedger
+    ) -> np.ndarray:
+        """PM accelerations: density assignment, FFT, mesh gradient and
+        interpolation, timed into ``ledger`` under Table I's PM rows,
+        with the mesh-mass and finite-field checks of the validator."""
+        v = self.validator
+        with ledger.phase("PM/density assignment"):
+            rho = self.pm.density_mesh(pos, mass)
+        if v is not None and v.check_enabled("mass_conservation"):
+            cell_vol = (self.box / self.pm.n) ** 3
+            v.handle(
+                check_mesh_mass(
+                    float(rho.sum() * cell_vol), float(mass.sum()),
+                    stage="mesh/assignment", step=v.step,
+                )
+            )
+        with ledger.phase("PM/FFT"):
+            phi = self.pm.potential_mesh(rho)
+        with ledger.phase("PM/acceleration on mesh"):
+            amesh = self.pm.acceleration_mesh(phi)
+        with ledger.phase("PM/force interpolation"):
+            acc = self.pm.interpolate(amesh, pos)
+        if v is not None and v.check_enabled("finite_fields"):
+            v.handle(check_finite("pm_acc", acc, stage="treepm/pm", step=v.step))
+        return acc
+
+    def short_range(
+        self, pos: np.ndarray, mass: np.ndarray, ledger: TimingLedger
+    ) -> Tuple[np.ndarray, TraversalStats]:
+        """Tree accelerations and traversal statistics: tree
+        construction, then traversal and the PP sweep (the "PP/tree
+        traversal" / "PP/force calculation" split in ``ledger``), with
+        the octree and finite-field checks of the validator and the
+        SDC spot-check (healed by a reference re-sweep under ``heal``).
+        """
+        v = self.validator
+        with ledger.phase("PP/tree construction"):
+            tree = self.tree.build(pos, mass)
+        if v is not None and v.check_enabled("octree_moments"):
+            v.handle(check_octree(tree, step=v.step))
+        acc, stats = self.tree.forces(pos, mass, tree=tree, ledger=ledger)
+        sdc = self.sdc
+        if sdc is not None and sdc.enabled:
+            self._sdc_evals += 1
+            if self._sdc_evals % sdc.config.audit_every == 0:
+                ev = sdc.spot_check(self.tree, step=self._sdc_evals)
+                if ev is not None and sdc.config.policy == "heal":
+                    # spot_check already stopped trusting the native
+                    # path; redo the whole sweep through the reference
+                    # pipeline so the returned forces are clean
+                    acc, stats = self.tree.forces(
+                        pos, mass, tree=tree, ledger=ledger
+                    )
+                    ev.healed = True
+                    ev.detail += "; healed by reference re-sweep"
+                sdc.apply_policy(None, [ev] if ev is not None else [])
+        if v is not None and v.check_enabled("finite_fields"):
+            v.handle(check_finite("pp_acc", acc, stage="treepm/pp", step=v.step))
+        return acc, stats
+
     def forces(self, pos: np.ndarray, mass: np.ndarray) -> TreePMForces:
         """Evaluate total TreePM accelerations.
 
@@ -128,61 +207,8 @@ class TreePMSolver:
         pos = np.asarray(pos, dtype=np.float64)
         mass = np.asarray(mass, dtype=np.float64)
         timing = TimingLedger()
-        v = self.validator
-
-        with timing.phase("PM/density assignment"):
-            rho = self.pm.density_mesh(pos, mass)
-        if v is not None and v.check_enabled("mass_conservation"):
-            from repro.validate.checks import check_mesh_mass
-
-            cell_vol = (self.box / self.pm.n) ** 3
-            v.handle(
-                check_mesh_mass(
-                    float(rho.sum() * cell_vol), float(mass.sum()),
-                    stage="mesh/assignment", step=v.step,
-                )
-            )
-        with timing.phase("PM/FFT"):
-            phi = self.pm.potential_mesh(rho)
-        with timing.phase("PM/acceleration on mesh"):
-            amesh = self.pm.acceleration_mesh(phi)
-        with timing.phase("PM/force interpolation"):
-            a_long = self.pm.interpolate(amesh, pos)
-
-        with timing.phase("PP/tree construction"):
-            tree = self.tree.build(pos, mass)
-        if v is not None and v.check_enabled("octree_moments"):
-            from repro.validate.checks import check_octree
-
-            v.handle(check_octree(tree, step=v.step))
-        with timing.phase("PP/force calculation"):
-            a_short, stats = self.tree.forces(pos, mass, tree=tree)
-        sdc = self.sdc
-        if sdc is not None and sdc.enabled:
-            self._sdc_evals += 1
-            if self._sdc_evals % sdc.config.audit_every == 0:
-                ev = sdc.spot_check(self.tree, step=self._sdc_evals)
-                if ev is not None and sdc.config.policy == "heal":
-                    # spot_check already stopped trusting the native
-                    # path; redo the whole sweep through the reference
-                    # pipeline so the returned forces are clean
-                    with timing.phase("PP/force calculation"):
-                        a_short, stats = self.tree.forces(
-                            pos, mass, tree=tree
-                        )
-                    ev.healed = True
-                    ev.detail += "; healed by reference re-sweep"
-                sdc.apply_policy(None, [ev] if ev is not None else [])
-        if v is not None and v.check_enabled("finite_fields"):
-            from repro.validate.checks import check_finite, first_violation
-
-            v.handle(
-                first_violation(
-                    check_finite("pm_acc", a_long, stage="treepm/pm", step=v.step),
-                    check_finite("pp_acc", a_short, stage="treepm/pp", step=v.step),
-                )
-            )
-
+        a_long = self.long_range(pos, mass, timing)
+        a_short, stats = self.short_range(pos, mass, timing)
         return TreePMForces(
             total=a_short + a_long,
             short_range=a_short,

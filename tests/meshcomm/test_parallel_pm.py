@@ -149,6 +149,29 @@ class TestRelayMesh:
         relay = job(4)
         assert relay < direct
 
+    def test_default_n_fft_fits_the_root_group(self, particles, serial_ref):
+        """Without an explicit ``n_fft`` the FFT processes default to
+        ``min(size // n_groups, n)`` so they fit in the relay root group
+        (``min(size, n)`` would ask for 2 * 4 ranks out of 4)."""
+        pos, mass = particles
+        split = S2ForceSplit(3.0 / N_MESH)
+
+        def fn(comm):
+            return ParallelPM(comm, N_MESH, split=split, n_groups=2).n_fft
+
+        assert run_spmd(4, fn) == [2, 2, 2, 2]
+        acc = _run_parallel(pos, mass, _slab_domains(4), split, n_groups=2)
+        np.testing.assert_allclose(acc, serial_ref, atol=1e-11)
+
+    def test_pencil_rejects_relay_groups(self):
+        """The pencil FFT has no relay mesh; asking for one is an error,
+        not a silently ignored setting."""
+        def fn(comm):
+            ParallelPM(comm, N_MESH, fft="pencil", n_groups=2)
+
+        with pytest.raises(RuntimeError, match="n_groups"):
+            run_spmd(4, fn)
+
     def test_invalid_group_config(self):
         def fn(comm):
             ParallelPM(comm, N_MESH, n_fft=4, n_groups=2)  # 8 > 4 ranks

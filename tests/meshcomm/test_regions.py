@@ -7,7 +7,7 @@ import pytest
 
 from repro.forces.cutoff import S2ForceSplit
 from repro.mesh.poisson import PMSolver
-from repro.meshcomm.parallel_pencil_pm import ParallelPencilPM
+from repro.meshcomm.parallel_pm import ParallelPM
 from repro.meshcomm.regions import redistribute
 from repro.meshcomm.slab import LocalMeshRegion
 from repro.mpi.runtime import run_spmd
@@ -114,6 +114,8 @@ class TestRedistribute:
 
 
 class TestParallelPencilPM:
+    """``ParallelPM(fft="pencil")``: the pencil FFT layout of the PM cycle."""
+
     @pytest.fixture(scope="class")
     def particles(self):
         rng = np.random.default_rng(2013)
@@ -134,7 +136,7 @@ class TestParallelPencilPM:
             lo = np.array([comm.rank / comm.size, 0.0, 0.0])
             hi = np.array([(comm.rank + 1) / comm.size, 1.0, 1.0])
             sel = np.all((pos >= lo) & (pos < hi), axis=1)
-            ppm = ParallelPencilPM(comm, 16, split=split, grid=grid)
+            ppm = ParallelPM(comm, 16, split=split, fft="pencil", grid=grid)
             return sel, ppm.forces(pos[sel], mass[sel], lo, hi)
 
         results = run_spmd(n_ranks, fn)
@@ -154,7 +156,7 @@ class TestParallelPencilPM:
             lo = np.array([comm.rank / comm.size, 0.0, 0.0])
             hi = np.array([(comm.rank + 1) / comm.size, 1.0, 1.0])
             sel = np.all((pos >= lo) & (pos < hi), axis=1)
-            ppm = ParallelPencilPM(comm, 8, split=split, grid=(4, 4))
+            ppm = ParallelPM(comm, 8, split=split, fft="pencil", grid=(4, 4))
             return sel, ppm.forces(pos[sel], mass[sel], lo, hi)
 
         results = run_spmd(16, fn)
@@ -165,7 +167,7 @@ class TestParallelPencilPM:
 
     def test_invalid_grid(self, particles):
         def fn(comm):
-            ParallelPencilPM(comm, 16, grid=(3, 3))
+            ParallelPM(comm, 16, fft="pencil", grid=(3, 3))
 
         with pytest.raises(RuntimeError, match="grid"):
             run_spmd(4, fn)

@@ -8,6 +8,7 @@ import pytest
 from repro.config import (
     DomainConfig,
     PMConfig,
+    RelayMeshConfig,
     SimulationConfig,
     TreeConfig,
     TreePMConfig,
@@ -93,3 +94,11 @@ class TestPencilBackendInDriver:
     def test_backend_validation(self):
         with pytest.raises(ValueError, match="fft_backend"):
             PMConfig(fft_backend="cube")
+
+    def test_pencil_rejects_relay_groups(self):
+        """``fft_backend="pencil"`` has no relay mesh: a relay group
+        count above 1 is refused up front instead of being ignored."""
+        pencil = PMConfig(mesh_size=16, fft_backend="pencil")
+        with pytest.raises(ValueError, match="n_groups"):
+            _cfg(pm=pencil, relay=RelayMeshConfig(n_groups=2))
+        assert _cfg(pm=pencil, relay=RelayMeshConfig(n_groups=1))

@@ -204,6 +204,17 @@ class TestConfigForRanks:
         shrunk = config_for_ranks(cfg, 2)
         assert shrunk.relay.n_groups == 2
 
+    def test_pencil_keeps_its_single_group(self):
+        from dataclasses import replace
+
+        tp = _cfg(4).treepm
+        cfg = _cfg(4).with_(
+            treepm=replace(tp, pm=replace(tp.pm, fft_backend="pencil"))
+        )
+        shrunk = config_for_ranks(cfg, 1)
+        assert shrunk.relay.n_groups == 1
+        assert shrunk.treepm.pm.fft_backend == "pencil"
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             config_for_ranks(_cfg(), 0)
