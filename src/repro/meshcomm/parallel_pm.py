@@ -47,10 +47,6 @@ DENSITY_GHOST = 2
 #: plus 1 for the interpolation stencil of the force mesh)
 POTENTIAL_GHOST = 3
 
-#: FFT layouts (mirrors ``PMConfig.fft_backend``)
-FFT_LAYOUTS = ("slab", "pencil")
-
-
 class ParallelPM:
     """Distributed long-range force solver on an SPMD communicator.
 
@@ -94,8 +90,6 @@ class ParallelPM:
         fft: str = "slab",
         grid: Optional[Tuple[int, int]] = None,
     ) -> None:
-        if fft not in FFT_LAYOUTS:
-            raise ValueError(f"fft must be one of {FFT_LAYOUTS}, got {fft!r}")
         self.comm = comm
         self.n = int(n)
         self.box = float(box)
@@ -108,13 +102,15 @@ class ParallelPM:
             deconvolve = 2 if split is not None else 1
         if fft == "slab":
             self._init_slab(n_fft, n_groups)
-        else:
+        elif fft == "pencil":
             if n_groups != 1:
                 raise ValueError(
                     f"the pencil FFT has no relay mesh: n_groups must be 1, "
                     f"got {n_groups}"
                 )
             self._init_pencil(grid)
+        else:
+            raise ValueError(f"fft must be 'slab' or 'pencil', got {fft!r}")
 
         if self.is_fft_rank:
             greens_full = build_greens_function(

@@ -2,7 +2,8 @@
 
 Each case returns a dict of named float64 arrays; :func:`digest` hashes
 them into sha256 hex strings.  ``digests.json`` holds the values these
-cases produced before the PM-cycle and force-path merges, and
+cases produced before the PM-cycle and force-path merges, one set per
+numpy SIMD dispatch level (see ``capture.py``), and
 ``test_golden.py`` recomputes and compares them bit for bit.  Native
 kernels on and off (``REPRO_NO_NATIVE=1``) must give the same digests.
 

@@ -172,6 +172,13 @@ class TestRelayMesh:
         with pytest.raises(RuntimeError, match="n_groups"):
             run_spmd(4, fn)
 
+    def test_unknown_layout_rejected(self):
+        def fn(comm):
+            ParallelPM(comm, N_MESH, fft="cube")
+
+        with pytest.raises(RuntimeError, match="fft must be"):
+            run_spmd(2, fn)
+
     def test_invalid_group_config(self):
         def fn(comm):
             ParallelPM(comm, N_MESH, n_fft=4, n_groups=2)  # 8 > 4 ranks
